@@ -13,7 +13,7 @@ structure):
   stage's choice) is what addresses limitation L1.
 """
 
-from repro.harness.report import render_table, write_result
+from repro.harness.report import format_change, render_table, write_result
 from repro.harness.runner import run_workload
 
 from conftest import BENCH_SCALE
@@ -43,7 +43,7 @@ def test_ablation_tolerance(benchmark, sweep_cache):
         sizes = [sorted(s.final_pool_sizes().values()) for s in run.stages]
         rows.append(
             (tolerance, run.runtime,
-             f"-{(1 - run.runtime / default_total) * 100:.1f}%", str(sizes))
+             format_change(1 - run.runtime / default_total), str(sizes))
         )
     write_result(
         "ablation_tolerance",
@@ -87,7 +87,7 @@ def test_ablation_cmin(benchmark, sweep_cache):
     results = benchmark.pedantic(build, rounds=1, iterations=1)
     default_total = sweep_cache("terasort")["runs"][32]["total"]
     rows = [
-        (cmin, run.runtime, f"-{(1 - run.runtime / default_total) * 100:.1f}%")
+        (cmin, run.runtime, format_change(1 - run.runtime / default_total))
         for cmin, run in sorted(results.items())
     ]
     write_result(

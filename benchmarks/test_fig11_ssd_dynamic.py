@@ -1,13 +1,16 @@
 """Fig. 11: the dynamic solution on SSDs (Terasort)."""
 
 from repro.harness.experiments import fig8_end_to_end
-from repro.harness.report import render_table, write_result
+from repro.harness.report import format_change, render_table, write_result
+
+from conftest import BENCH_SCALE
 
 
 def test_fig11_ssd_dynamic(benchmark, sweep_cache):
     def build():
         return fig8_end_to_end(
-            "terasort", device="ssd", sweep_result=sweep_cache("terasort", "ssd")
+            "terasort", scale=BENCH_SCALE, device="ssd",
+            sweep_result=sweep_cache("terasort", "ssd"),
         )
 
     result = benchmark.pedantic(build, rounds=1, iterations=1)
@@ -29,8 +32,8 @@ def test_fig11_ssd_dynamic(benchmark, sweep_cache):
             rows,
             title=(
                 "Fig. 11 (Terasort on SSD): "
-                f"bestfit -{result['reduction_bestfit'] * 100:.1f}%, "
-                f"dynamic -{result['reduction_dynamic'] * 100:.1f}%"
+                f"bestfit {format_change(result['reduction_bestfit'])}, "
+                f"dynamic {format_change(result['reduction_dynamic'])}"
             ),
         ),
     )

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.harness.experiments import fig8_end_to_end
-from repro.harness.report import render_table, write_result
+from repro.harness.report import format_change, render_table, write_result
+
+from conftest import BENCH_SCALE
 
 #: Paper Fig. 8 runtime reductions vs default: (static BestFit, dynamic).
 PAPER_REDUCTIONS = {
@@ -31,8 +33,8 @@ def _render(result):
         rows,
         title=(
             f"Fig. 8 ({result['workload']}): "
-            f"bestfit -{result['reduction_bestfit'] * 100:.1f}%, "
-            f"dynamic -{result['reduction_dynamic'] * 100:.1f}% vs default"
+            f"bestfit {format_change(result['reduction_bestfit'])}, "
+            f"dynamic {format_change(result['reduction_dynamic'])} vs default"
         ),
     )
 
@@ -40,7 +42,7 @@ def _render(result):
 @pytest.fixture(scope="module")
 def comparisons(sweep_cache):
     return {
-        workload: fig8_end_to_end(workload,
+        workload: fig8_end_to_end(workload, scale=BENCH_SCALE,
                                   sweep_result=sweep_cache(workload))
         for workload in ("terasort", "pagerank", "aggregation", "join")
     }

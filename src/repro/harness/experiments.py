@@ -105,6 +105,7 @@ def fig2_static_sweep(workload: str, scale: float = 1.0,
                            device=device, workload_kwargs={"scale": scale})
     return {
         "workload": workload,
+        "scale": scale,
         "device": device,
         "runs": {
             threads: {
@@ -272,11 +273,21 @@ def fig8_end_to_end(workload: str, scale: float = 1.0,
     """Figs. 8/11: default vs static BestFit vs dynamic.
 
     ``fork=True`` applies to the embedded static sweep (ignored when a
-    pre-computed ``sweep_result`` is supplied).
+    pre-computed ``sweep_result`` is supplied).  A supplied
+    ``sweep_result`` must come from :func:`fig2_static_sweep` with the same
+    workload, scale and device: its 32-thread run is the default baseline
+    the BestFit and dynamic runs are compared against.
     """
     if sweep_result is None:
         sweep_result = fig2_static_sweep(workload, scale=scale, device=device,
                                          fork=fork)
+    for key, value in (("workload", workload), ("scale", scale),
+                       ("device", device)):
+        if sweep_result.get(key) != value:
+            raise ValueError(
+                f"sweep_result has {key}={sweep_result.get(key)!r}, but "
+                f"fig8_end_to_end was asked for {key}={value!r}"
+            )
     default_run = sweep_result["_sweep_runs"][DEFAULT_THREADS]
     bestfit_sizes = sweep_result["bestfit_sizes"]
     bestfit_run = run_workload(workload, policy=("bestfit", bestfit_sizes),

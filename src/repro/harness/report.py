@@ -62,6 +62,13 @@ def render_series(name: str, points: Sequence, unit: str = "",
     return f"{name}: |{''.join(chars[:width])}| {summary}"
 
 
+def format_change(reduction: float) -> str:
+    """A runtime reduction (``1 - runtime / baseline``) as a signed change
+    against the baseline: ``0.522`` -> ``-52.2%`` (faster), ``-0.032`` ->
+    ``+3.2%`` (slower)."""
+    return f"{-reduction * 100:+.1f}%"
+
+
 def write_result(name: str, content: str,
                  directory: Optional[str] = None) -> str:
     """Persist a rendered experiment result under ``results/``."""

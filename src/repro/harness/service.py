@@ -75,25 +75,21 @@ def _job_run_config(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     profile_interval: float = 1.0,
-    core: Optional[str] = None,
 ) -> RunConfig:
     """The inner-engine config for one job; mirrors ``repro run`` exactly."""
     template = arrival.template
-    cluster_kwargs = dict(
-        num_nodes=arrival.slots,
-        cores=cores,
-        device=device,
-        seed=template.seed,
-    )
-    if core is not None:
-        cluster_kwargs["core"] = core
     return RunConfig(
         workload=template.workload,
         policy=template.policy,
         key=key,
         workload_kwargs={"scale": template.scale},
         conf_overrides=dict(template.conf),
-        cluster_kwargs=cluster_kwargs,
+        cluster_kwargs=dict(
+            num_nodes=arrival.slots,
+            cores=cores,
+            device=device,
+            seed=template.seed,
+        ),
         fault_plan_doc=fault_plan_doc,
         events_path=events_path,
         trace_path=trace_path,
@@ -120,7 +116,6 @@ def compute_runtimes(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     profile_interval: float = 1.0,
-    core: Optional[str] = None,
 ) -> Tuple[Dict[str, float], int]:
     """Runtime oracle: ``(job_id -> service time, distinct engine runs)``.
 
@@ -145,7 +140,6 @@ def compute_runtimes(
                 trace_path=out(trace_path, arrival.job_id),
                 profile_path=out(profile_path, arrival.job_id),
                 profile_interval=profile_interval,
-                core=core,
             )
             for arrival in arrivals
         ]
@@ -159,8 +153,7 @@ def compute_runtimes(
                           arrival)
     keys = sorted(by_key, key=repr)
     configs = [
-        _job_run_config(by_key[key], index, cores, device, fault_plan_doc,
-                        core=core)
+        _job_run_config(by_key[key], index, cores, device, fault_plan_doc)
         for index, key in enumerate(keys)
     ]
     by_index = {
@@ -203,7 +196,6 @@ def run_service(
     profile_interval: float = 1.0,
     admission: Optional[AdmissionHook] = None,
     preemption: Optional[PreemptionHook] = None,
-    core: Optional[str] = None,
     monitor: Optional[Any] = None,
 ) -> ServiceReport:
     """Run one full service scenario and assemble its SLO report.
@@ -215,10 +207,8 @@ def run_service(
     ``repro.faults/2``) drives the outer scheduler instead and never
     reaches the oracle, so a cluster-only plan leaves the inner runs --
     and their event logs -- byte-identical to a faultless serve.
-    ``core`` selects the kernel backend for every inner engine run; the
-    report is byte-identical across backends.  ``monitor`` (a
-    :class:`~repro.validation.cluster.ClusterInvariantMonitor`) checks
-    cluster invariants live without perturbing the schedule.
+    ``monitor`` (a :class:`~repro.validation.cluster.ClusterInvariantMonitor`)
+    checks cluster invariants live without perturbing the schedule.
     """
     if seed is not None and seed != plan.seed:
         plan = replace(plan, seed=seed)
@@ -250,7 +240,6 @@ def run_service(
         trace_path=trace_path,
         profile_path=profile_path,
         profile_interval=profile_interval,
-        core=core,
     )
 
     # Graceful degradation needs the oracle to price the shrunken grant
@@ -266,7 +255,7 @@ def run_service(
         if shrunk:
             extra, extra_runs = compute_runtimes(
                 shrunk, cores=cores, device=device,
-                fault_plan_doc=engine_plan_doc, parallel=parallel, core=core,
+                fault_plan_doc=engine_plan_doc, parallel=parallel,
             )
             distinct_runs += extra_runs
             degraded_runtimes = {

@@ -12,10 +12,7 @@ ties in the event queue are broken by insertion order.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulation.kernel.base import KernelCore
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -341,21 +338,14 @@ class Simulator:
         sim.run()
         assert sim.now == 3.0 and proc.value == "done"
 
-    ``core`` selects the kernel backend (see :mod:`repro.simulation.kernel`):
-    a backend name (``"python"``, ``"vector"``), a :class:`KernelCore`
-    instance, or ``None`` for the ``REPRO_CORE`` env var / python default.
-    The queue itself -- a heap of ``(when, sequence, payload)`` tuples with
-    insertion-order tie-breaks -- is the contract every backend shares; the
-    push/pop sites below stay inlined so the reference core pays no
-    indirection per event.
+    The queue is a heap of ``(when, sequence, payload)`` tuples; the
+    ``sequence`` insertion counter breaks ties between entries scheduled for
+    the same instant.
     """
 
-    def __init__(self, core: Union[str, "KernelCore", None] = None) -> None:
-        from repro.simulation.kernel import resolve_core
-
-        self.core = resolve_core(core)
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[tuple] = self.core.create_queue()
+        self._queue: List[tuple] = []
         self._sequence = 0
         self._fork_hooks: List[Callable[[str], None]] = []
         #: Divergence key set by :meth:`after_fork`; ``None`` in a simulator
@@ -373,7 +363,6 @@ class Simulator:
         #: backwards (the heap ordering normally guarantees this; the guard
         #: catches a corrupted queue or a mutated ``_now``).
         self.monotonic_guard = False
-        self.core.bind(self)
 
     @property
     def now(self) -> float:
@@ -396,9 +385,8 @@ class Simulator:
 
         :meth:`_schedule` and :meth:`call_in` are the only two queue-push
         sites, and each increments the same sequence counter exactly once
-        per push -- deferred calls are counted consistently with events,
-        so per-backend counts are directly comparable and deltas give the
-        kernel throughput that ``repro bench`` reports as events/second.
+        per push.  Monotonic over a run, so deltas give the kernel
+        throughput that ``repro bench`` reports as events/second.
         """
         return self._sequence
 

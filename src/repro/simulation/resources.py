@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.simulation.core import Event, SimulationError, Simulator
 
@@ -98,15 +98,6 @@ class FairShareResource:
     default splits a fixed aggregate ``capacity`` equally among active jobs.
     """
 
-    #: Declares that :meth:`rates` is *group-structured*: every active job
-    #: whose ``attrs[key]`` equals the same value gets the same rate, and
-    #: :meth:`group_rate` computes it.  A ``(key, default)`` tuple, or
-    #: ``None`` when rates have no structure the kernel can exploit.  Like
-    #: the uniform fast path, this is a bit-identity contract: a subclass
-    #: that overrides :meth:`rates` with a non-group curve MUST reset this
-    #: to ``None``.
-    _rate_groups: ClassVar[Optional[Tuple[str, str]]] = None
-
     def __init__(self, sim: Simulator, name: str, capacity: float = 1.0) -> None:
         if capacity <= 0:
             raise SimulationError(f"capacity must be positive, got {capacity}")
@@ -127,12 +118,6 @@ class FairShareResource:
             cls.rates is FairShareResource.rates
             or cls.uniform_rate is not FairShareResource.uniform_rate
         )
-        # Let the simulator's kernel core install an accelerated engine on
-        # this instance (a no-op for the reference python core).  Guarded so
-        # bare test doubles without a core still work.
-        core = getattr(sim, "core", None)
-        if core is not None:
-            core.attach_resource(self)
 
     # -- rate policy -------------------------------------------------------
 
@@ -154,20 +139,6 @@ class FairShareResource:
         """
         return self.capacity / n
 
-    def group_rate(self, value: str, n: int) -> float:
-        """Per-job rate for a job whose ``attrs[key]`` is ``value`` when
-        ``n`` jobs are active, for resources that declare ``_rate_groups``.
-
-        Only called when ``_rate_groups`` is not ``None``.  Overrides MUST
-        compute the exact same float :meth:`rates` would assign such a job
-        (same expression, same operation order) -- event logs are
-        bit-compared across kernel cores.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares _rate_groups but does not "
-            "implement group_rate()"
-        )
-
     # -- public API --------------------------------------------------------
 
     @property
@@ -181,22 +152,14 @@ class FairShareResource:
             raise SimulationError(f"negative work: {work}")
         if not math.isfinite(work):
             raise SimulationError(f"work must be finite, got {work}")
-        job = self._new_job(float(work), tag, attrs)
+        job = Job(self, float(work), tag, attrs)
         if work == 0:
             job.event.succeed(job)
             return job
         self._advance()
-        self._admit(job)
+        self._jobs.append(job)
         self._reschedule()
         return job
-
-    def _new_job(self, work: float, tag: str, attrs: Dict[str, Any]) -> Job:
-        """Job factory hook; the vector core swaps in its array-backed job."""
-        return Job(self, work, tag, attrs)
-
-    def _admit(self, job: Job) -> None:
-        """Add a job to the active set; the vector core also fills a slot."""
-        self._jobs.append(job)
 
     def sync(self) -> None:
         """Bring cumulative counters up to the current instant.

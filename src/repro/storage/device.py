@@ -117,12 +117,6 @@ class StorageDevice(FairShareResource):
     accounted separately.
     """
 
-    #: Rates are op-structured: every job doing the same operation gets the
-    #: same share (see :meth:`group_rate`), which lets the vector kernel
-    #: batch mixed read/write phases instead of falling back to per-job
-    #: dicts.
-    _rate_groups = ("op", "read")
-
     def __init__(
         self,
         sim: Simulator,

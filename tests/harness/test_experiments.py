@@ -44,6 +44,8 @@ class TestFigureProtocols:
         assert set(result["runs"]) == {32, 16, 8, 4, 2}
         assert len(result["bestfit_sizes"]) == 3
         assert result["bestfit"]["total"] > 0
+        assert (result["workload"], result["scale"], result["device"]) == (
+            "terasort", SCALE, "hdd")
 
     def test_fig3_shapes(self):
         rows = fig3_node_variability(num_nodes=6, gib=1.0)
@@ -61,6 +63,16 @@ class TestFigureProtocols:
         for row in rows:
             assert set(row["series"]) == {2, 4, 8}
             assert row["selected"] in (2, 4, 8)
+
+    @pytest.mark.parametrize("mismatch", [
+        {"workload": "pagerank"}, {"scale": 2 * SCALE}, {"device": "ssd"},
+    ])
+    def test_fig8_rejects_mismatched_sweep(self, mismatch):
+        sweep = {"workload": "terasort", "scale": SCALE, "device": "hdd"}
+        sweep.update(mismatch)
+        (key, value), = mismatch.items()
+        with pytest.raises(ValueError, match=f"{key}={value!r}"):
+            fig8_end_to_end("terasort", scale=SCALE, sweep_result=sweep)
 
     def test_fig8_reductions_consistent(self):
         result = fig8_end_to_end("terasort", scale=SCALE)
