@@ -4,9 +4,12 @@ Expensive simulation runs (static sweeps, fixed-policy runs) are memoised in
 session-scoped caches so figures that share a protocol (e.g. Fig. 2 -> Fig. 5,
 Fig. 7 -> Fig. 12) re-use each other's runs.
 
-``REPRO_BENCH_SCALE`` (default 1.0) scales every workload's input size; all
-reported ratios are scale-invariant, so e.g. ``REPRO_BENCH_SCALE=0.25`` gives
-a quick smoke pass of the whole evaluation.
+``REPRO_BENCH_SCALE`` (default 1.0) scales every workload's input size, so
+e.g. ``REPRO_BENCH_SCALE=0.25`` gives a quick smoke pass of the whole
+evaluation.  Reported ratios are not all scale-invariant: the adaptive
+loop's fixed exploration cost weighs more on small stages, and some checks
+fail below scale 1.0 (ROADMAP.md, "Paper fidelity as a gated,
+machine-readable check").
 """
 
 import os

@@ -93,7 +93,7 @@ class TaskSetManager:
 
 
 @dataclass
-class _Attempt:
+class _TaskAttempt:
     """One live launch of a task on one executor."""
 
     task: Task
@@ -120,7 +120,7 @@ class _StageRun:
         # -- fault-recovery state (all inert on a fault-free run) ----------
         self.completed_partitions: Set[int] = set()
         self.attempt_seq: Dict[int, int] = {}
-        self.running: Dict[int, Dict[int, _Attempt]] = {}
+        self.running: Dict[int, Dict[int, _TaskAttempt]] = {}
         self.failures: Dict[int, int] = {}
         self.retries_pending = 0
         #: Partitions whose relaunch waits for a recovery wave to finish.
@@ -143,7 +143,7 @@ class _Recovery:
         #: shuffles are still incomplete), deepest ancestors first.
         self.waves: List[Tuple[Stage, Set[int]]] = []
         self.manager = TaskSetManager([])
-        self.running: Dict[Tuple[int, int], _Attempt] = {}
+        self.running: Dict[Tuple[int, int], _TaskAttempt] = {}
         self.attempt_seq: Dict[Tuple[int, int], int] = {}
         self.failures: Dict[Tuple[int, int], int] = {}
         self.scheduled: Set[Tuple[int, int]] = set()
@@ -262,7 +262,7 @@ class TaskScheduler:
         partition = task.partition
         attempt = run.attempt_seq.get(partition, 0)
         run.attempt_seq[partition] = attempt + 1
-        run.running.setdefault(partition, {})[attempt] = _Attempt(
+        run.running.setdefault(partition, {})[attempt] = _TaskAttempt(
             task=task,
             attempt=attempt,
             executor_id=executor.executor_id,
@@ -298,7 +298,7 @@ class TaskScheduler:
                 key = (task.stage.stage_id, task.partition)
                 attempt = rec.attempt_seq.get(key, 1)
                 rec.attempt_seq[key] = attempt + 1
-                rec.running[key] = _Attempt(
+                rec.running[key] = _TaskAttempt(
                     task=task,
                     attempt=attempt,
                     executor_id=executor_id,
@@ -371,7 +371,8 @@ class TaskScheduler:
                 self._check_speculation(run)
 
     def _kill_twins(self, run: _StageRun, partition: int,
-                    twins: Dict[int, _Attempt], winner: _Attempt) -> None:
+                    twins: Dict[int, _TaskAttempt],
+                    winner: _TaskAttempt) -> None:
         """First finisher wins: kill the losing duplicate attempts."""
         if not twins:
             return
@@ -769,7 +770,7 @@ class TaskScheduler:
         self._check_speculation(run)
 
     def _launch_speculative(self, run: _StageRun, partition: int,
-                            info: _Attempt) -> None:
+                            info: _TaskAttempt) -> None:
         chosen = None
         for executor in self.ctx.executors:
             if not executor.alive:

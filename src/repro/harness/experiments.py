@@ -3,7 +3,9 @@
 Each function runs the simulation protocol behind that exhibit and returns a
 plain data structure; ``benchmarks/`` renders and checks them, and
 EXPERIMENTS.md records paper-vs-measured values.  ``scale`` shrinks inputs
-proportionally for quick runs (ratios are scale-invariant by construction).
+proportionally for quick runs.  Not every ratio survives the shrink: the
+adaptive loop's fixed exploration cost weighs more on small stages (see
+ROADMAP.md, "Paper fidelity as a gated, machine-readable check").
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ suspended generators -- for the cost of a page-table copy.
 
 Three layers:
 
-* **Fork server** (:func:`fork_map`): forks one child per divergence,
-  streams a picklable result back over a pipe (length-prefixed pickle),
-  and babysits children with the same watchdog/retry/quarantine contract
-  as the durable runner (:func:`~repro.harness.parallel.map_runs_durable`):
-  a child that crashes or exceeds ``timeout`` is retried with exponential
+* **Fork server** (:func:`fork_map`): the harness's one process
+  supervisor.  It forks one child per item, streams a picklable result
+  back over a pipe (length-prefixed pickle), and babysits children: a
+  child that crashes or exceeds ``timeout`` is retried with exponential
   backoff and quarantined after ``max_attempts``.
+  :func:`~repro.harness.parallel.map_runs` and the durable runner
+  (:func:`~repro.harness.parallel.map_runs_durable`) are thin callers
+  that may also run items in-process when a child buys nothing.
 * **Sweep divergences** (:func:`fork_map_runs`): a family of
   :class:`~repro.harness.parallel.RunConfig` points sharing one setup
   prefix (cluster + context + dataset/DAG preparation) and diverging in
@@ -30,7 +32,9 @@ Three layers:
   plan, RNG reseed) and race the futures.
 
 Where ``os.fork`` is unavailable (:func:`fork_available` is False) every
-entry point falls back to sequential re-simulation with identical results.
+caller falls back to sequential in-process runs (re-simulation for the
+shared-prefix paths) with identical results; only a ``timeout``, which
+needs a child to kill, raises :class:`ForkUnavailableError`.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from repro.harness.parallel import (
     RunSummary,
     build_run_tracer,
     execute_run_config,
-    resolve_parallel,
     summarize_run,
 )
 
@@ -151,13 +154,28 @@ def child_abort(exc: BaseException) -> "NoReturn":  # noqa: F821
     if _ACTIVE_CHILD is None:
         raise RuntimeError("child_abort() outside a forked child")
     try:
-        _send(_ACTIVE_CHILD.fd, b"E", f"{type(exc).__name__}: {exc}")
+        _send(_ACTIVE_CHILD.fd, b"E", _describe(exc))
     except BaseException:  # noqa: BLE001
         pass
     os._exit(1)
 
 
+def _describe(exc: BaseException) -> str:
+    """A failure's quarantine reason, the same in a child and inline."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 # -- fork server -------------------------------------------------------------
+
+
+@dataclass
+class _Pending:
+    """One item's position in the retry state machine."""
+
+    index: int
+    item: Any
+    failures: int = 0
+    ready_at: float = 0.0  # monotonic time the next attempt may start
 
 
 @dataclass
@@ -166,20 +184,9 @@ class _Child:
 
     pid: int
     fd: int
-    index: int
-    item: Any
+    pending: _Pending
     deadline: Optional[float]
     buf: bytearray = field(default_factory=bytearray)
-
-
-class _Pending:
-    """One divergence's position in the retry state machine."""
-
-    def __init__(self, index: int, item: Any) -> None:
-        self.index = index
-        self.item = item
-        self.failures = 0
-        self.ready_at = 0.0
 
 
 def _spawn(child_fn: Callable[[Any], Any], item: Any, key: Any):
@@ -217,97 +224,130 @@ def fork_map(
     max_attempts: int = 3,
     backoff: float = 0.5,
     allow_quarantine: bool = False,
+    inline: bool = False,
+    on_settled: Optional[Callable[[int, Any, Any], None]] = None,
 ):
     """Run ``child_fn(item)`` in one copy-on-write child per item.
 
-    Results come back in item order.  Each ``item`` should carry a ``key``
-    attribute for error reporting (``RunConfig`` and :class:`Alternative`
-    both do).  At most ``parallel`` children run at once (``0`` = one per
-    core).  A child that crashes, dies, or outlives ``timeout`` wall-clock
-    seconds is killed and retried with bounded exponential backoff; after
-    ``max_attempts`` failures the item is quarantined --
+    The harness's one process supervisor: sweeps (:func:`~repro.harness.
+    parallel.map_runs`), the durable runner, fork sweeps and what-if
+    fan-outs all run on this loop.  Results come back in item order.
+    Each ``item`` should carry a ``key`` attribute for error reporting
+    (``RunConfig`` and :class:`Alternative` both do).  At most ``parallel``
+    children run at once (``<= 1`` means one at a time).  A child that
+    crashes, dies, or outlives ``timeout`` wall-clock seconds is killed and
+    retried with bounded exponential backoff; after ``max_attempts``
+    failures the item is quarantined --
     :class:`~repro.harness.parallel.QuarantinedConfigError` unless
     ``allow_quarantine``, in which case its slot is ``None``.
+
+    ``inline=True`` runs the items in this process instead when a child
+    buys nothing: one at a time without a ``timeout``, or wherever
+    ``os.fork`` is unavailable (a ``timeout`` then raises
+    :class:`ForkUnavailableError`: only a child can be killed).  An
+    exception from ``child_fn`` takes the same retry path, with the same
+    reason text, as a failed child.
+
+    ``on_settled(index, result, error)`` runs in this process as each item
+    settles; ``error`` is ``None`` on success, else the quarantine error.
+    An exception it raises propagates once every running child is killed
+    and reaped.
 
     In a child whose ``child_fn`` returned :data:`CONTINUE`, this returns
     :data:`CHILD_CONTINUES` instead of a result list -- the caller is now
     the child and must finish via :func:`child_finish`.
     """
-    if not fork_available():
-        raise ForkUnavailableError("os.fork is unavailable on this platform")
-    if in_forked_child():
-        raise RuntimeError("nested fork_map inside a forked child")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    items = list(items)
-    parallel = resolve_parallel(parallel)
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
+    forkable = fork_available()
+    if not forkable and (timeout is not None or not inline):
+        raise ForkUnavailableError("os.fork is unavailable on this platform")
+    in_process = inline and timeout is None and (parallel <= 1 or not forkable)
+    if not in_process and in_forked_child():
+        raise RuntimeError("nested fork_map inside a forked child")
     results: List[Optional[Any]] = [None] * len(items)
     waiting = [_Pending(index, item) for index, item in enumerate(items)]
     running: Dict[int, _Child] = {}
     sel = selectors.DefaultSelector()
 
-    def _key(item: Any, index: int) -> Any:
-        return getattr(item, "key", index)
+    def _succeeded(pending: _Pending, result: Any) -> None:
+        results[pending.index] = result
+        if on_settled is not None:
+            on_settled(pending.index, result, None)
+
+    def _failed(pending: _Pending, reason: str,
+                cause: Optional[BaseException] = None) -> None:
+        pending.failures += 1
+        if pending.failures < max_attempts:
+            delay = min(backoff * (2.0 ** (pending.failures - 1)), 30.0)
+            pending.ready_at = time.monotonic() + delay
+            waiting.append(pending)
+            return
+        error = QuarantinedConfigError(pending.item, pending.failures, reason)
+        if on_settled is not None:
+            on_settled(pending.index, None, error)
+        if not allow_quarantine:
+            raise error from cause
 
     def _reap(child: _Child) -> int:
+        del running[child.pid]
         sel.unregister(child.fd)
         os.close(child.fd)
         _pid, status = os.waitpid(child.pid, 0)
         return os.waitstatus_to_exitcode(status)
 
-    def _failed(pending: _Pending, reason: str) -> None:
-        pending.failures += 1
-        if pending.failures >= max_attempts:
-            if not allow_quarantine:
-                _kill_all()
-                raise QuarantinedConfigError(
-                    pending.item, pending.failures, reason
-                )
-            return
-        delay = min(backoff * (2.0 ** (pending.failures - 1)), 30.0)
-        pending.ready_at = time.monotonic() + delay
-        waiting.append(pending)
-
-    def _kill_all() -> None:
-        for child in running.values():
-            try:
-                os.kill(child.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            _reap(child)
-        running.clear()
-
-    pendings: Dict[int, _Pending] = {p.index: p for p in waiting}
+    def _kill(child: _Child) -> None:
+        try:
+            os.kill(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        _reap(child)
 
     try:
         while waiting or running:
             now = time.monotonic()
-            launched = False
             for _ in range(len(waiting)):
-                if len(running) >= parallel:
+                if len(running) >= max(1, parallel):
                     break
                 pending = waiting.pop(0)
                 if pending.ready_at > now:
                     waiting.append(pending)  # still backing off; rotate
                     continue
+                if in_process:
+                    try:
+                        result = child_fn(pending.item)
+                    except Exception as exc:  # noqa: BLE001 - retried
+                        _failed(pending, _describe(exc), exc)
+                    else:
+                        _succeeded(pending, result)
+                    continue
                 spawned = _spawn(child_fn, pending.item,
-                                 _key(pending.item, pending.index))
+                                 getattr(pending.item, "key", pending.index))
                 if spawned is None:
-                    # We are a forked child on the CONTINUE protocol: hand
-                    # control back so the caller resumes the simulation.
+                    # We are a forked child on the CONTINUE protocol: the
+                    # siblings in ``running`` are the parent's to kill and
+                    # reap, so forget them and resume the simulation.
+                    running.clear()
                     return CHILD_CONTINUES
                 pid, fd = spawned
                 child = _Child(
-                    pid=pid, fd=fd, index=pending.index, item=pending.item,
+                    pid=pid, fd=fd, pending=pending,
                     deadline=(now + timeout) if timeout is not None else None,
                 )
                 sel.register(fd, selectors.EVENT_READ, child)
                 running[pid] = child
-                launched = True
+            if not running:
+                if waiting:
+                    # Everything left is backing off; sleep to the nearest
+                    # ready time instead of spinning.
+                    delay = min(p.ready_at for p in waiting) - time.monotonic()
+                    if delay > 0:
+                        time.sleep(min(delay, 0.5))
+                continue
             for key_event, _mask in sel.select(timeout=0.05):
                 child = key_event.data
-                if child.pid not in running:
-                    continue
                 while True:
                     try:
                         data = os.read(child.fd, _CHUNK)
@@ -317,49 +357,30 @@ def fork_map(
                         child.buf.extend(data)
                         continue
                     # EOF: the child exited (or crashed); settle it.
-                    running.pop(child.pid, None)
                     exitcode = _reap(child)
                     parsed = _parse(bytes(child.buf))
                     if parsed is None:
                         _failed(
-                            pendings[child.index],
+                            child.pending,
                             f"child died with exit code {exitcode} before "
                             f"reporting a result",
                         )
+                    elif parsed[0]:
+                        _succeeded(child.pending, parsed[1])
                     else:
-                        ok, payload = parsed
-                        if ok:
-                            results[child.index] = payload
-                        else:
-                            _failed(pendings[child.index], str(payload))
+                        _failed(child.pending, str(parsed[1]))
                     break
             if timeout is not None:
                 now = time.monotonic()
-                for pid, child in list(running.items()):
-                    if child.deadline is not None and now >= child.deadline:
-                        running.pop(pid, None)
-                        try:
-                            os.kill(pid, signal.SIGKILL)
-                        except ProcessLookupError:
-                            pass
-                        _reap(child)
-                        _failed(pendings[child.index],
+                for child in list(running.values()):
+                    if now >= child.deadline:
+                        _kill(child)
+                        _failed(child.pending,
                                 f"timed out after {timeout:.1f}s")
-            if not launched and not running and waiting:
-                # Everything left is backing off; sleep to the nearest
-                # ready time instead of spinning.
-                delay = min(p.ready_at for p in waiting) - time.monotonic()
-                if delay > 0:
-                    time.sleep(min(delay, 0.5))
     finally:
-        # A CONTINUE-protocol child unwinds through here too (it returned
-        # CHILD_CONTINUES inside the try): it must NOT run the parent's
-        # cleanup -- the inherited ``running`` map holds its *siblings*,
-        # which only the parent may kill and reap.
-        if not in_forked_child():
-            sel.close()
-            if running:
-                _kill_all()
+        for child in list(running.values()):
+            _kill(child)
+        sel.close()
     return results
 
 

@@ -2,31 +2,26 @@
 
 A sweep or comparison replays dozens of fully independent deterministic
 runs; on a multi-core host there is no reason to run them one after the
-other.  This module fans runs out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` while keeping two properties the harness relies on:
+other.  This module fans runs out as forked children of the harness's one
+process supervisor (:func:`repro.harness.fork.fork_map`) while keeping two
+properties the harness relies on:
 
 * **Determinism.**  Each run is seeded and self-contained, and results are
-  returned in the order their configs were submitted (``Executor.map``
-  semantics), so a parallel sweep produces byte-for-byte the same report as
-  a sequential one.
+  returned in the order their configs were submitted, so a parallel sweep
+  produces byte-for-byte the same report as a sequential one.
 * **Picklability.**  A :class:`RunConfig` is plain data (names, numbers,
   dicts) and a :class:`RunSummary` carries the full
   :class:`~repro.engine.metrics.RunRecorder` -- everything the figure
   pipeline reads -- but not the live simulator, whose generator-based
   processes cannot cross a process boundary.
 
-``parallel <= 1`` runs everything in-process (no pool, no pickling), which
-is also the fallback for the interactive default.
+``parallel <= 1`` runs everything in-process (no child, no pickling),
+which is also the fallback where ``os.fork`` is unavailable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import time
-import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -34,36 +29,16 @@ from repro.engine.metrics import RunRecorder, StageRecord
 
 
 def resolve_parallel(parallel: Optional[int]) -> int:
-    """Normalise a ``--parallel`` value: ``0``/``None`` means all cores."""
+    """Normalise a ``--parallel`` value: ``0``/``None`` means all cores.
+
+    Called once, at the CLI edge; below it ``parallel <= 1`` means one run
+    at a time everywhere.
+    """
     if not parallel:
         return os.cpu_count() or 1
     if parallel < 0:
         raise ValueError(f"parallel must be >= 0, got {parallel}")
     return parallel
-
-
-def pool_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every harness pool uses: ``fork``.
-
-    Pinned explicitly rather than trusting the platform default: ``fork``
-    workers start in milliseconds from the parent's warm interpreter (no
-    re-import, no re-pickle of module state), which keeps parallel-sweep
-    startup consistent with the copy-on-write fork engine
-    (:mod:`repro.harness.fork`).  On platforms without the ``fork`` start
-    method (Windows; macOS deprecations notwithstanding, ``fork`` is still
-    registered there) we fall back to ``spawn`` with a warning -- runs stay
-    correct, worker startup just costs a fresh interpreter each.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        warnings.warn(
-            "multiprocessing 'fork' start method unavailable on this "
-            "platform; falling back to 'spawn' (slower worker startup)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return multiprocessing.get_context("spawn")
 
 
 @dataclass(frozen=True)
@@ -141,9 +116,10 @@ class _RecorderView:
 def build_run_tracer(config: RunConfig):
     """``(tracer, profiler)`` for one config's requested outputs (or Nones).
 
-    Shared by the pool worker entry point below and the fork engine's
-    children (:mod:`repro.harness.fork`), so a forked run writes exactly
-    the files a pooled run with the same config would.
+    Shared by :func:`execute_run_config` below and the fork engine's
+    shared-prefix children (:mod:`repro.harness.fork`), so a forked run
+    writes exactly the files a from-scratch run with the same config
+    would.
     """
     from repro.observability.chrome import ChromeTraceSink
     from repro.observability.profiler import ProfilerSink
@@ -164,7 +140,7 @@ def build_run_tracer(config: RunConfig):
 
 
 def summarize_run(run, key: Any, profiler=None) -> RunSummary:
-    """The picklable summary of a finished run (pool and fork paths)."""
+    """The picklable summary of a finished run (in-process or forked)."""
     return RunSummary(
         workload=run.workload,
         key=key,
@@ -178,11 +154,10 @@ def summarize_run(run, key: Any, profiler=None) -> RunSummary:
 
 
 def execute_run_config(config: RunConfig) -> RunSummary:
-    """Run one config to completion; the pool's worker entry point.
+    """Run one config to completion; each sweep child's body.
 
-    Imports stay inside the function so a worker only pays for what the
-    run actually uses (and so this module stays import-light for the
-    parent process).
+    Imports stay inside the function so a run only pays for what it
+    actually uses (and so this module stays import-light).
     """
     from repro.faults.plan import FaultPlan
     from repro.harness.runner import finish_trace, run_workload
@@ -210,18 +185,19 @@ def execute_run_config(config: RunConfig) -> RunSummary:
 def map_runs(configs: List[RunConfig], parallel: int = 1) -> List[RunSummary]:
     """Execute every config; results come back in submission order.
 
-    With ``parallel > 1`` the configs are spread over a process pool (capped
-    at the number of configs -- idle workers are pure fork overhead); with
-    ``parallel <= 1`` they run sequentially in-process, bit-identically to
-    the pool path because each run owns a private simulator either way.
+    With ``parallel > 1`` each config runs in a forked child of
+    :func:`~repro.harness.fork.fork_map`, at most ``parallel`` at a time;
+    with ``parallel <= 1`` or a single config they run in-process,
+    bit-identically, because each run owns a private simulator either way.
+    A run that fails is not retried: it raises
+    :class:`QuarantinedConfigError`, inline or forked alike.
     """
+    from repro.harness.fork import fork_map
+
     configs = list(configs)
-    if parallel <= 1 or len(configs) <= 1:
-        return [execute_run_config(config) for config in configs]
-    workers = min(parallel, len(configs))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=pool_context()) as pool:
-        return list(pool.map(execute_run_config, configs))
+    return fork_map(execute_run_config, configs,
+                    parallel=min(parallel, len(configs)), max_attempts=1,
+                    inline=True)
 
 
 # -- crash-safe execution ---------------------------------------------------------
@@ -280,26 +256,6 @@ class QuarantinedConfigError(RuntimeError):
         self.reason = reason
 
 
-def _durable_worker(index: int, config: RunConfig, queue) -> None:
-    """Worker entry point: always report back, success or failure."""
-    try:
-        summary = execute_run_config(config)
-    except BaseException as exc:  # a worker must never die silently
-        queue.put((index, False, f"{type(exc).__name__}: {exc}"))
-    else:
-        queue.put((index, True, summary))
-
-
-class _Attempt:
-    """One config's position in the retry state machine."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.failures = 0
-        self.ready_at = 0.0  # wall-clock time the next attempt may start
-        self.last_reason = ""
-
-
 def map_runs_durable(
     configs: List[RunConfig],
     parallel: int = 1,
@@ -313,33 +269,34 @@ def map_runs_durable(
 ) -> List[Optional[RunSummary]]:
     """:func:`map_runs` with a crash-safe journal around every point.
 
-    * Each finished run is journaled atomically before the next one starts,
-      so a killed sweep loses at most the points in flight.
+    * Each run is journaled atomically as it finishes, so a killed sweep
+      loses at most the points in flight.
     * With ``resume=True``, configs whose fingerprint is already journaled
       are **not** re-run; their summaries are rebuilt from the journal and
       the aggregate output is byte-identical to an uninterrupted run.
-    * ``timeout`` arms a per-run watchdog: a worker that exceeds it is
+    * ``timeout`` arms a per-run watchdog: a child that exceeds it is
       killed and counted as a failure.
-    * Failures (crash or timeout) are retried with bounded exponential
-      backoff (``backoff * 2**(failures-1)`` seconds, up to
+    * Failures (exception, crash or timeout) are retried with bounded
+      exponential backoff (``backoff * 2**(failures-1)`` seconds, up to
       ``max_attempts`` attempts); a config that keeps failing is
       quarantined in the journal and raises :class:`QuarantinedConfigError`
       unless ``allow_quarantine`` is set, in which case its slot in the
       result list is ``None``.
     * ``stop_after`` ends the sweep after that many *new* completions by
       raising :class:`SweepInterrupted` (the CI resume smoke test's hook
-      for "kill the sweep mid-flight").
+      for "kill the sweep mid-flight"); points still running are killed.
 
-    Results come back in config order.  The watchdog needs real worker
-    processes, so ``timeout`` requires ``parallel >= 1`` workers even for a
-    sequential sweep; without a timeout and with ``parallel <= 1``
-    everything runs in-process exactly like :func:`map_runs`.
+    Results come back in config order.  Execution is one
+    :func:`~repro.harness.fork.fork_map` call: points run in-process when
+    ``parallel <= 1`` and no ``timeout`` is set (the watchdog needs a
+    child to kill), and in forked children otherwise.
     """
+    from repro.harness.fork import fork_map
     from repro.harness.journal import config_fingerprint
 
     configs = list(configs)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be >= 1, got {stop_after}")
     fingerprints = [config_fingerprint(config) for config in configs]
     results: List[Optional[RunSummary]] = [None] * len(configs)
     pending: List[int] = []
@@ -364,8 +321,14 @@ def map_runs_durable(
 
     completed_new = 0
 
-    def _record(index: int, summary: RunSummary) -> None:
+    def _settled(slot: int, summary: Optional[RunSummary], error) -> None:
         nonlocal completed_new
+        index = pending[slot]
+        if error is not None:
+            if journal is not None:
+                journal.record_quarantine(fingerprints[index], error.attempts,
+                                          error.reason)
+            return
         results[index] = summary
         if journal is not None:
             journal.record_run(fingerprints[index], summary_to_doc(summary))
@@ -373,126 +336,10 @@ def map_runs_durable(
         if stop_after is not None and completed_new >= stop_after:
             raise SweepInterrupted(completed_new, len(configs))
 
-    def _quarantine(index: int, attempts: int, reason: str) -> None:
-        if journal is not None:
-            journal.record_quarantine(fingerprints[index], attempts, reason)
-        if not allow_quarantine:
-            raise QuarantinedConfigError(configs[index], attempts, reason)
-
-    if timeout is None and parallel <= 1:
-        # In-process fast path: same execution as map_runs/sequential
-        # sweeps, so resumed aggregates can be compared byte for byte.
-        for index in pending:
-            failures = 0
-            while True:
-                try:
-                    summary = execute_run_config(configs[index])
-                except SweepInterrupted:
-                    raise
-                except Exception as exc:
-                    failures += 1
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if failures >= max_attempts:
-                        _quarantine(index, failures, reason)
-                        break
-                    time.sleep(min(backoff * (2.0 ** (failures - 1)), 30.0))
-                else:
-                    _record(index, summary)
-                    break
-        return results
-
-    _run_worker_pool(
-        configs, pending, max(1, parallel), timeout, max_attempts, backoff,
-        _record, _quarantine,
+    fork_map(
+        execute_run_config, [configs[index] for index in pending],
+        parallel=parallel, timeout=timeout, max_attempts=max_attempts,
+        backoff=backoff, allow_quarantine=allow_quarantine, inline=True,
+        on_settled=_settled,
     )
     return results
-
-
-def _run_worker_pool(configs, pending, parallel, timeout, max_attempts,
-                     backoff, record, quarantine) -> None:
-    """Watchdogged worker-process pool with retry/backoff scheduling."""
-    mp = pool_context()
-    queue: Any = mp.Queue()
-    waiting = deque(_Attempt(index) for index in pending)
-    running: Dict[int, tuple] = {}  # index -> (process, deadline, attempt)
-    resolved: set = set()
-
-    def _drain() -> List[tuple]:
-        messages = []
-        while True:
-            try:
-                messages.append(queue.get_nowait())
-            except Exception:
-                return messages
-
-    def _handle(messages: List[tuple]) -> None:
-        for index, ok, payload in messages:
-            entry = running.pop(index, None)
-            if entry is None or index in resolved:
-                continue  # stale result from a worker we already killed
-            process, _deadline, attempt = entry
-            process.join()
-            if ok:
-                resolved.add(index)
-                record(index, payload)
-            else:
-                _failed(attempt, str(payload))
-
-    def _failed(attempt: _Attempt, reason: str) -> None:
-        attempt.failures += 1
-        attempt.last_reason = reason
-        if attempt.failures >= max_attempts:
-            resolved.add(attempt.index)
-            quarantine(attempt.index, attempt.failures, reason)
-            return
-        delay = min(backoff * (2.0 ** (attempt.failures - 1)), 30.0)
-        attempt.ready_at = time.monotonic() + delay
-        waiting.append(attempt)
-
-    try:
-        while waiting or running:
-            _handle(_drain())
-            now = time.monotonic()
-            for index, (process, deadline, attempt) in list(running.items()):
-                if index in resolved or index not in running:
-                    continue
-                if deadline is not None and now >= deadline:
-                    process.kill()
-                    process.join()
-                    running.pop(index, None)
-                    _failed(attempt, f"timed out after {timeout:.1f}s")
-                elif process.exitcode is not None:
-                    # Dead without (yet) a result: give the queue's feeder
-                    # thread one more chance to deliver before declaring a
-                    # crash.
-                    _handle(_drain())
-                    if index in running and index not in resolved:
-                        running.pop(index, None)
-                        _failed(
-                            attempt,
-                            f"worker died with exit code {process.exitcode}",
-                        )
-            now = time.monotonic()
-            launched = False
-            for _ in range(len(waiting)):
-                if len(running) >= parallel:
-                    break
-                attempt = waiting.popleft()
-                if attempt.ready_at > now:
-                    waiting.append(attempt)  # still backing off; rotate
-                    continue
-                process = mp.Process(
-                    target=_durable_worker,
-                    args=(attempt.index, configs[attempt.index], queue),
-                )
-                process.start()
-                deadline = now + timeout if timeout is not None else None
-                running[attempt.index] = (process, deadline, attempt)
-                launched = True
-            if (waiting or running) and not launched:
-                time.sleep(0.01)
-    finally:
-        for process, _deadline, _attempt in running.values():
-            if process.is_alive():
-                process.kill()
-            process.join()

@@ -182,15 +182,15 @@ def static_sweep(
     :class:`~repro.workloads.WorkloadRun`\\ s -- same runtimes, same stage
     records, no simulator.  Event/trace outputs then come from
     ``events_path_factory(threads)`` / ``trace_path_factory(threads)``
-    (in-process ``tracer_factory`` objects cannot cross the pool boundary).
+    (in-process ``tracer_factory`` objects cannot cross a process boundary).
 
     With ``fork=True`` the sweep instead runs on the copy-on-write fork
     engine (:func:`repro.harness.fork.fork_map_runs`): the shared prefix
     -- cluster build, context wiring, dataset registration -- is simulated
     once and each thread count continues in a forked child, at most
-    ``parallel`` at a time.  Results are the same picklable summaries the
-    pool path returns, byte-identical to from-scratch runs.  Falls back to
-    sequential re-simulation where ``os.fork`` is unavailable.
+    ``parallel`` at a time.  Results are the same picklable summaries
+    ``map_runs`` returns, byte-identical to from-scratch runs.  Falls back
+    to sequential re-simulation where ``os.fork`` is unavailable.
     """
     if parallel > 1 or fork:
         from repro.harness.parallel import RunConfig, map_runs

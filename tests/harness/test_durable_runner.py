@@ -1,6 +1,5 @@
 """The crash-safe sweep runner: resume, retry, watchdog, quarantine."""
 
-import multiprocessing
 import os
 import time
 
@@ -8,6 +7,7 @@ import pytest
 
 import repro.harness.parallel as parallel_mod
 from repro.engine.metrics import RunRecorder
+from repro.harness.fork import ForkUnavailableError, fork_available
 from repro.harness.journal import SweepJournal, config_fingerprint
 from repro.harness.parallel import (
     QuarantinedConfigError,
@@ -19,7 +19,7 @@ from repro.harness.parallel import (
 )
 
 fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
+    not fork_available(),
     reason="worker tests monkeypatch state inherited through fork",
 )
 
@@ -136,6 +136,34 @@ class TestInProcessPath:
         with pytest.raises(ValueError):
             map_runs_durable(_configs(1), max_attempts=0)
 
+    @pytest.mark.parametrize("stop_after", [0, -1])
+    def test_stop_after_must_be_positive(self, stop_after):
+        with pytest.raises(ValueError, match="stop_after"):
+            map_runs_durable(_configs(1), stop_after=stop_after)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout"):
+            map_runs_durable(_configs(1), timeout=timeout)
+
+    def test_without_fork_runs_inline_and_refuses_timeout(
+            self, monkeypatch):
+        pids = []
+
+        def recording(config):
+            pids.append(os.getpid())
+            return _fake_summary(config)
+
+        monkeypatch.setattr(parallel_mod, "execute_run_config", recording)
+        monkeypatch.setattr("repro.harness.fork.fork_available",
+                            lambda: False)
+        configs = _configs()
+        results = map_runs_durable(configs, parallel=2)
+        assert [s.key for s in results] == [c.key for c in configs]
+        assert pids == [os.getpid()] * len(configs)
+        with pytest.raises(ForkUnavailableError):
+            map_runs_durable(configs, timeout=1.0)
+
 
 @fork_only
 class TestWorkerPool:
@@ -190,3 +218,44 @@ class TestWorkerPool:
         sequential = map_runs_durable(configs)
         assert ([summary_to_doc(s) for s in pooled]
                 == [summary_to_doc(s) for s in sequential])
+
+
+def _slow_summary(config):
+    time.sleep(0.2 * config.key)  # keys 1, 2, 4: staggered finishes
+    return _fake_summary(config)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@fork_only
+class TestSupervisorContract:
+    """An early exit must kill and reap every child still running."""
+
+    def test_stop_after_reaps_children_and_journals_completed(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel_mod, "execute_run_config",
+                            _slow_summary)
+        journal = SweepJournal(str(tmp_path / "sweep.journal"))
+        with pytest.raises(SweepInterrupted) as info:
+            map_runs_durable(_configs(), parallel=2, journal=journal,
+                             stop_after=1)
+        _assert_no_children()
+        assert info.value.completed == 1
+        assert len(SweepJournal(journal.path)) == info.value.completed
+
+    def test_quarantine_reaps_running_children(self, monkeypatch):
+        def fail_first(config):
+            if config.key == 1:
+                raise RuntimeError("bad point")
+            time.sleep(30.0)
+            return _fake_summary(config)
+
+        monkeypatch.setattr(parallel_mod, "execute_run_config", fail_first)
+        start = time.monotonic()
+        with pytest.raises(QuarantinedConfigError, match="bad point"):
+            map_runs_durable(_configs(2), parallel=2, max_attempts=1)
+        _assert_no_children()
+        assert time.monotonic() - start < 15.0  # the sleeper was killed

@@ -10,6 +10,7 @@ The contract under test (see ``repro.harness.fork``):
 """
 
 import os
+import time
 
 import pytest
 
@@ -111,6 +112,57 @@ class TestForkMap:
         [result] = fork_map(child, [_Item("flaky")], max_attempts=3,
                             backoff=0.01)
         assert result == "recovered"
+
+    def test_parallel_zero_runs_one_child_at_a_time(self, tmp_path):
+        # Each child holds an exclusive marker file while it runs; a
+        # sibling running concurrently fails to create it and the item is
+        # quarantined.
+        busy = str(tmp_path / "busy")
+
+        def child(item):
+            fd = os.open(busy, os.O_CREAT | os.O_EXCL)
+            time.sleep(0.05)
+            os.close(fd)
+            os.unlink(busy)
+            return item.key
+
+        items = [_Item(i) for i in range(4)]
+        assert fork_map(child, items, parallel=0, max_attempts=1) == [
+            0, 1, 2, 3]
+
+    def test_inline_runs_in_this_process(self):
+        results = fork_map(lambda item: os.getpid(), [_Item(0), _Item(1)],
+                           inline=True)
+        assert results == [os.getpid()] * 2
+
+    def test_inline_and_forked_failures_give_the_same_reason(self):
+        def child(item):
+            raise ValueError(f"bad {item.key}")
+
+        reasons = []
+        for parallel in (1, 2):
+            with pytest.raises(QuarantinedConfigError) as info:
+                fork_map(child, [_Item("x"), _Item("x")], parallel=parallel,
+                         max_attempts=1, inline=True)
+            reasons.append(info.value.reason)
+        assert reasons == ["ValueError: bad x"] * 2
+
+    def test_on_settled_reports_each_item(self):
+        def child(item):
+            if item.key == 1:
+                raise RuntimeError("boom")
+            return item.key
+
+        settled = []
+        results = fork_map(
+            child, [_Item(0), _Item(1), _Item(2)], parallel=2,
+            max_attempts=1, allow_quarantine=True,
+            on_settled=lambda index, result, error: settled.append(
+                (index, result, error and error.reason)),
+        )
+        assert results == [0, None, 2]
+        assert sorted(settled) == [
+            (0, 0, None), (1, None, "RuntimeError: boom"), (2, 2, None)]
 
 
 @needs_fork

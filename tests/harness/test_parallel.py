@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.harness.parallel import (
+    QuarantinedConfigError,
     RunConfig,
     RunSummary,
     execute_run_config,
@@ -125,6 +126,19 @@ class TestMapRuns:
     def test_empty_config_list(self):
         assert map_runs([], parallel=4) == []
 
+    def test_failure_quarantines_with_one_reason_at_any_parallelism(self):
+        configs = [RunConfig(workload="no-such-workload", key="bad", **FAST),
+                   _config(4, 4)]
+        reasons = []
+        for parallel in (1, 2):
+            with pytest.raises(QuarantinedConfigError) as info:
+                map_runs(configs, parallel)
+            assert info.value.config.key == "bad"
+            reasons.append(info.value.reason)
+        assert reasons[0] == reasons[1]
+        assert reasons[0].startswith("KeyError:")
+        assert "no-such-workload" in reasons[0]
+
 
 class TestStaticSweepParallel:
     def test_parallel_sweep_matches_sequential(self):
@@ -171,32 +185,3 @@ class TestStaticSweepParallel:
                 parallel=2,
             )
 
-
-class TestPoolContext:
-    def test_fork_pinned_where_available(self):
-        import multiprocessing
-
-        from repro.harness.parallel import pool_context
-
-        context = pool_context()
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert context.get_start_method() == "fork"
-        else:
-            assert context.get_start_method() == "spawn"
-
-    def test_spawn_fallback_warns(self, monkeypatch):
-        import multiprocessing
-
-        from repro.harness import parallel
-
-        real_get_context = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real_get_context(method)
-
-        monkeypatch.setattr(parallel.multiprocessing, "get_context", no_fork)
-        with pytest.warns(RuntimeWarning, match="falling back to 'spawn'"):
-            context = parallel.pool_context()
-        assert context.get_start_method() == "spawn"

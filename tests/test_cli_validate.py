@@ -84,6 +84,13 @@ class TestDurableSweep:
         resumed = capsys.readouterr().out
         assert resumed == uninterrupted  # byte-identical aggregates
 
+    @pytest.mark.parametrize("flag,name", [
+        ("--stop-after", "stop_after"), ("--run-timeout", "timeout"),
+    ])
+    def test_zero_budget_exits_1(self, flag, name, capsys):
+        assert main(SWEEP_ARGS + [flag, "0"]) == 1
+        assert f"{name} must be" in capsys.readouterr().err
+
     def test_bad_fault_plan_exits_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"bogus": 1}))
