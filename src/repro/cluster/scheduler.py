@@ -35,6 +35,11 @@ forever):
 * ``wfair`` -- like ``fair`` but normalised by tenant weight
   (``running_slots / weight``).
 
+The queue is indexed (:class:`_JobQueue`): an ``(arrival, seq)`` heap for
+``fifo``, one per tenant for ``fair``/``wfair``, so a dispatch decision
+looks only at heap heads and the running jobs -- O(tenants + slots +
+log Q) instead of a scan of the whole queue.
+
 Admission and preemption are pluggable hooks: admission sees each job at
 arrival and may reject it (e.g. :func:`max_queue_admission`); preemption
 runs after every event and may evict running jobs, which requeue through
@@ -166,6 +171,66 @@ class SchedulerState:
     queued: Tuple[ServiceJob, ...]
     #: Slots on live (non-down, non-flapped) nodes; == total_slots chaos-free.
     up_slots: int = -1
+
+
+#: One queued job: ``(arrival, submit_seq, job)``.
+QueueEntry = Tuple[float, int, ServiceJob]
+
+
+class _JobQueue:
+    """The scheduler's queue, indexed so no dispatch decision scans it.
+
+    ``entries`` maps submit seq to its entry in insertion order, the order
+    the ``max_wait`` guard sums queued work in.  ``heaps`` holds
+    ``(arrival, seq)`` heaps: one per tenant when ``by_tenant``, else one
+    global heap under the key ``None``.  An entry that leaves ``entries``
+    stays in its heap until it surfaces at the head (lazy deletion).
+    """
+
+    __slots__ = ("by_tenant", "entries", "heaps", "_seq_of")
+
+    def __init__(self, by_tenant: bool) -> None:
+        self.by_tenant = by_tenant
+        self.entries: Dict[int, QueueEntry] = {}
+        self.heaps: Dict[Optional[str], List[Tuple[float, int]]] = {}
+        self._seq_of: Dict[str, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def push(self, entry: QueueEntry) -> None:
+        arrival, seq, job = entry
+        self.entries[seq] = entry
+        self._seq_of[job.job_id] = seq
+        key = job.tenant if self.by_tenant else None
+        heapq.heappush(self.heaps.setdefault(key, []), (arrival, seq))
+
+    def head(self, key: Optional[str]) -> Optional[QueueEntry]:
+        """Earliest ``(arrival, seq)`` entry of one heap, or None if empty."""
+        heap = self.heaps[key]
+        while heap:
+            entry = self.entries.get(heap[0][1])
+            if entry is not None:
+                return entry
+            heapq.heappop(heap)
+        return None
+
+    def discard(self, seq: int) -> None:
+        """Drop the entry submitted as ``seq``."""
+        job = self.entries.pop(seq)[2]
+        if self._seq_of.get(job.job_id) == seq:
+            del self._seq_of[job.job_id]
+
+    def remove(self, job: ServiceJob) -> None:
+        """Drop ``job``'s entry, if it is queued."""
+        seq = self._seq_of.get(job.job_id)
+        if seq is not None and self.entries[seq][2] is job:
+            self.discard(seq)
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.heaps.clear()
+        self._seq_of.clear()
 
 
 AdmissionHook = Callable[[ServiceJob, SchedulerState], bool]
@@ -307,15 +372,31 @@ class ClusterScheduler:
         """Schedule ``jobs`` to completion and return the service result.
 
         Raises :class:`~repro.workloads.arrivals.ArrivalPlanError` when a
-        job demands more slots than the cluster has (it could never run).
+        job demands fewer than one slot or more slots than the cluster has
+        (it would hold no node, or could never run), and
+        :class:`ValueError` when one tenant's jobs disagree on
+        ``tenant_weight``.
         """
         from repro.workloads.arrivals import ArrivalPlanError
 
+        weights: Dict[str, float] = {}
         for job in jobs:
+            if job.slots < 1:
+                raise ArrivalPlanError(
+                    f"job {job.job_id} ({job.tenant}) needs {job.slots} "
+                    f"slots; every job holds at least 1"
+                )
             if job.slots > self.total_slots:
                 raise ArrivalPlanError(
                     f"job {job.job_id} ({job.tenant}) needs {job.slots} "
                     f"slots but the cluster has {self.total_slots}"
+                )
+            weight = weights.setdefault(job.tenant, job.tenant_weight)
+            if job.tenant_weight != weight:
+                raise ValueError(
+                    f"tenant {job.tenant!r} has jobs with tenant_weight "
+                    f"{weight} and {job.tenant_weight}; a tenant has one "
+                    f"weight"
                 )
             if job.runtime < 0:
                 raise ValueError(
@@ -326,7 +407,7 @@ class ClusterScheduler:
         arrivals = sorted(jobs, key=lambda job: (job.arrival, job.job_id))
         # Queue entries keep (arrival, submit_seq) so requeued preempted
         # jobs fall back into arrival order deterministically.
-        queued: List[Tuple[float, int, ServiceJob]] = []
+        queued = _JobQueue(by_tenant=self.discipline != "fifo")
         running: Dict[str, ServiceJob] = {}
         run_start: Dict[str, float] = {}
         completions: List[Tuple[float, int, str, int, str]] = []
@@ -442,7 +523,9 @@ class ClusterScheduler:
                 running=tuple(
                     running[job_id] for job_id in sorted(running)
                 ),
-                queued=tuple(entry[2] for entry in sorted(queued)),
+                queued=tuple(
+                    entry[2] for entry in sorted(queued.entries.values())
+                ),
                 up_slots=up_slots(),
             )
 
@@ -495,7 +578,7 @@ class ClusterScheduler:
                     return False
                 if protection.max_wait is not None:
                     work = sum(entry[2].runtime * entry[2].slots
-                               for entry in queued)
+                               for entry in queued.entries.values())
                     if work / max(1, up_slots()) > protection.max_wait:
                         shed(job, "wait")
                         return False
@@ -504,7 +587,7 @@ class ClusterScheduler:
                 shed(job, "admission")
                 return False
             seq += 1
-            queued.append((job.arrival, seq, job))
+            queued.push((job.arrival, seq, job))
             if (kind == "arrival" and protection is not None
                     and protection.deadline is not None):
                 push_timed(job.arrival + protection.deadline, "deadline", job)
@@ -608,7 +691,7 @@ class ClusterScheduler:
                 free_ids = available_nodes()
                 if granted > len(free_ids):
                     break  # head-of-line blocking: never skip ahead
-                queued.remove(entry)
+                queued.discard(entry[1])
                 start_job(job, free_ids[:granted], granted)
 
         def handle_timed(kind: str, payload: Any) -> None:
@@ -648,9 +731,8 @@ class ClusterScheduler:
                     return
                 if job.job_id in running:
                     kill_attempt(job)
-                elif any(entry[2] is job for entry in queued):
-                    queued[:] = [entry for entry in queued
-                                 if entry[2] is not job]
+                else:
+                    queued.remove(job)
                 breaker_failure(job)
                 abort(job, "deadline")
             elif kind == "probe":
@@ -670,7 +752,7 @@ class ClusterScheduler:
             if not times:
                 if chaos is not None:
                     # Permanent capacity loss: the queue can never drain.
-                    for entry in sorted(queued):
+                    for entry in sorted(queued.entries.values()):
                         abort(entry[2], "capacity")
                     queued.clear()
                     continue
@@ -801,30 +883,31 @@ class ClusterScheduler:
 
     def _pick(
         self,
-        queued: List[Tuple[float, int, ServiceJob]],
+        queued: _JobQueue,
         running: Dict[str, ServiceJob],
-    ) -> Tuple[float, int, ServiceJob]:
+    ) -> QueueEntry:
         """Choose the next queue entry to consider (head-of-line)."""
         if self.discipline == "fifo":
-            return min(queued, key=lambda entry: (entry[0], entry[1]))
+            return queued.head(None)
         # fair / wfair: tenant with the smallest normalised running-slot
         # share goes first; ties break by tenant name for determinism.
+        # Usage counts each job's demanded slots, not its (degraded) grant.
         usage: Dict[str, float] = {}
         for job in running.values():
             usage[job.tenant] = usage.get(job.tenant, 0.0) + job.slots
         best: Optional[Tuple[float, str]] = None
-        for _arrival, _seq, job in queued:
-            weight = job.tenant_weight if self.discipline == "wfair" else 1.0
-            share = usage.get(job.tenant, 0.0) / weight
-            key = (share, job.tenant)
+        best_entry: Optional[QueueEntry] = None
+        for tenant in queued.heaps:
+            entry = queued.head(tenant)
+            if entry is None:
+                continue
+            weight = (entry[2].tenant_weight if self.discipline == "wfair"
+                      else 1.0)
+            key = (usage.get(tenant, 0.0) / weight, tenant)
             if best is None or key < best:
-                best = key
-        assert best is not None
-        tenant = best[1]
-        return min(
-            (entry for entry in queued if entry[2].tenant == tenant),
-            key=lambda entry: (entry[0], entry[1]),
-        )
+                best, best_entry = key, entry
+        assert best_entry is not None
+        return best_entry
 
 
 def jobs_from_arrivals(

@@ -209,6 +209,21 @@ class TestValidationErrors:
         with pytest.raises(ArrivalPlanError, match="slots"):
             run([job], total_slots=4)
 
+    @pytest.mark.parametrize("slots", [0, -1])
+    def test_slotless_job_is_rejected_upfront(self, slots):
+        # A job holding no node would bypass capacity: five of them plus
+        # a 1-slot job used to all start at t=0 on a 1-slot cluster.
+        jobs = make_jobs(5, slots=1, gap=0.0)
+        jobs[2].slots = slots
+        with pytest.raises(ArrivalPlanError, match="at least 1"):
+            run(jobs, total_slots=1)
+
+    def test_tenant_with_two_weights_is_rejected(self):
+        jobs = make_jobs(4, weights={"a": 1.0, "b": 2.0})
+        jobs[3].tenant_weight = 3.0  # a second weight for tenant b
+        with pytest.raises(ValueError, match="tenant 'b'.*one weight"):
+            run(jobs, discipline="wfair")
+
     def test_unknown_discipline(self):
         with pytest.raises(ValueError, match="discipline"):
             ClusterScheduler(total_slots=4, discipline="lifo")
