@@ -432,13 +432,18 @@ def fork_map_runs(
     from-scratch runs of the same configuration.
 
     Falls back to sequential re-simulation (identical results, no
-    copy-on-write) where :func:`fork_available` is False.
+    copy-on-write) where :func:`fork_available` is False, under the same
+    supervisor contract as :func:`~repro.harness.parallel.map_runs`: a
+    ``timeout`` raises :class:`ForkUnavailableError`, and a failing point
+    is retried, then quarantined.
     """
     configs = list(configs)
     if not configs:
         return []
     if not fork_available():
-        return [execute_run_config(config) for config in configs]
+        return fork_map(execute_run_config, configs, timeout=timeout,
+                        max_attempts=max_attempts, backoff=backoff,
+                        allow_quarantine=allow_quarantine, inline=True)
     ref = configs[0]
     for config in configs[1:]:
         for field_name in _SHARED_PREFIX_FIELDS:

@@ -19,6 +19,7 @@ from repro.harness.fork import (
     Alternative,
     AlternativeError,
     ForkBarrierNotReached,
+    ForkUnavailableError,
     fork_available,
     fork_map,
     fork_map_runs,
@@ -211,6 +212,51 @@ class TestForkMapRuns:
                              events_path=str(path))]
         fork_map_runs(configs)
         assert path.exists() and path.stat().st_size > 0
+
+
+class TestForkMapRunsWithoutFork:
+    """Without ``os.fork`` the sweep re-simulates each point in-process,
+    under the same supervisor contract as ``map_runs``."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        import repro.harness.fork as fork_mod
+        import repro.harness.parallel as parallel_mod
+
+        def execute(config):
+            if config.key == "bad":
+                raise RuntimeError("boom")
+            return config.key
+
+        monkeypatch.setattr(fork_mod, "fork_available", lambda: False)
+        monkeypatch.setattr(fork_mod, "execute_run_config", execute)
+        monkeypatch.setattr(parallel_mod, "execute_run_config", execute)
+
+    @staticmethod
+    def _configs(*keys):
+        return [RunConfig(workload="terasort", key=key, workload_kwargs=WK)
+                for key in keys]
+
+    def test_runs_in_order(self, no_fork):
+        assert fork_map_runs(self._configs(1, 2, 3)) == [1, 2, 3]
+
+    def test_timeout_raises_fork_unavailable(self, no_fork):
+        with pytest.raises(ForkUnavailableError):
+            fork_map_runs(self._configs(1), timeout=1.0)
+
+    def test_failure_is_quarantined_like_map_runs(self, no_fork):
+        configs = self._configs(1, "bad")
+        with pytest.raises(QuarantinedConfigError) as inline:
+            map_runs(configs, 1)
+        with pytest.raises(QuarantinedConfigError) as fallback:
+            fork_map_runs(configs, max_attempts=2, backoff=0.01)
+        assert fallback.value.reason == inline.value.reason
+        assert fallback.value.attempts == 2
+
+    def test_allow_quarantine_leaves_none(self, no_fork):
+        results = fork_map_runs(self._configs(1, "bad", 3), max_attempts=1,
+                                allow_quarantine=True)
+        assert results == [1, None, 3]
 
 
 class TestParseAlternative:
